@@ -9,7 +9,7 @@ richer equivalent this library uses as its main entry point: it
   dynamically by self-reconfiguring graphs, which inherit the network
   through :meth:`repro.kpn.process.Process.spawn`);
 * optionally runs the :class:`~repro.kpn.scheduler.DeadlockMonitor`
-  implementing Parks' bounded scheduling;
+  implementing Parks' bounded scheduling, over this network alone;
 * joins everything and surfaces process failures and deadlock diagnoses;
 * can export the program graph to :mod:`networkx` for analysis (the
   paper's claim that default capacities suffice "for all programs with no
@@ -118,10 +118,13 @@ class Network:
         self._threads: List[threading.Thread] = []
         self._lock = threading.RLock()
         self._started = False
+        #: True while start() spawns the initial processes: the ones
+        #: already blocked are no stall, and the monitor gives no verdict
+        self.starting = False
         self.fusion_plan = None
         self.monitor: Optional[DeadlockMonitor] = None
         if bounded:
-            self.monitor = DeadlockMonitor(self, policy)
+            self.monitor = DeadlockMonitor([self], policy)
 
     # ------------------------------------------------------------------
     # construction
@@ -257,16 +260,20 @@ class Network:
                 raise RuntimeError("network already started")
             self._started = True
             pending = [p for p in self.processes]
+            self.starting = True
         if self.monitor is not None:
             self.monitor.start()
         with self._lock:
             spawned = {t.name for t in self._threads}
-        for p in pending:
-            # set membership, not a linear scan: start() is on the
-            # 10k-process scale path and a per-process scan is O(n^2)
-            if p.name not in spawned:
-                spawned.add(p.name)
-                self.spawn(p)
+        try:
+            for p in pending:
+                # set membership, not a linear scan: start() is on the
+                # 10k-process scale path and a per-process scan is O(n^2)
+                if p.name not in spawned:
+                    spawned.add(p.name)
+                    self.spawn(p)
+        finally:
+            self.starting = False
         return self
 
     def ensure_running(self) -> "Network":
@@ -516,20 +523,6 @@ class Network:
             return False
         ch.grow(new_capacity)
         return True
-
-    def has_remote_links(self) -> bool:
-        """True if any channel is fed or drained by another server.
-
-        A network with remote links can be unblocked by external traffic,
-        so an all-blocked-on-reads state is *not* diagnosable as true
-        deadlock locally — the paper defers distributed deadlock detection
-        to future work (section 6.2), and so does the monitor.
-        """
-        with self._lock:
-            channels = list(self.channels)
-        return any(getattr(ch, "receiver_pump", None) is not None
-                   or getattr(ch, "sender_pump", None) is not None
-                   for ch in channels)
 
     def total_buffered_bytes(self) -> int:
         return sum(ch.buffer.available() for ch in self.channels)

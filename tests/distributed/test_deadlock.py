@@ -183,3 +183,81 @@ def test_detector_context_manager():
     with DistributedDeadlockDetector([net]) as detector:
         assert detector._thread is not None and detector._thread.is_alive()
     assert not detector._thread.is_alive()
+
+
+class Spin(IterativeProcess):
+    """Runs unblocked for a while: a site that is making progress."""
+
+    def step(self):
+        time.sleep(0.02)
+
+
+def test_same_named_networks_are_separate_sites():
+    """Two default-named networks must not collapse onto one site key:
+    a stuck reader at one site is no global deadlock while the other
+    site still runs."""
+    running = Network(bounded=False)
+    running.add(Spin(iterations=25, name="spin"))
+    stuck = Network(policy=DeadlockPolicy(on_true="ignore"))
+    ch = stuck.channel(name="never")
+    stuck.add(ReadForever(ch.get_input_stream(), name="r"))
+    running.start()
+    stuck.start()
+    try:
+        time.sleep(0.1)
+        detector = DistributedDeadlockDetector([running, stuck], settle_s=0.02)
+        assert len(detector.snapshot_all()) == 2
+        assert detector.check_once() is None
+        assert detector.true_deadlocks == []
+    finally:
+        stuck.shutdown()
+        running.join(timeout=30)
+        stuck.join(timeout=10)
+
+
+def test_failed_poll_recorded_naming_the_site():
+    srv = ComputeServer(name="vanishing").start()
+    client = ServerClient("127.0.0.1", srv.port)
+    detector = DistributedDeadlockDetector([client], settle_s=0.01)
+    detector.start(interval_s=0.01)
+    try:
+        time.sleep(0.1)
+        assert detector.error is None
+        srv.stop()
+        deadline = time.monotonic() + 20
+        while detector.error is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+    finally:
+        detector.stop()
+        client.close()
+    assert detector.error is not None
+    assert f"server:127.0.0.1:{srv.port}" in str(detector.error)
+
+
+class FrozenSite:
+    """A participant whose snapshot never changes: one blocked reader."""
+
+    host, port = "fake", 1
+
+    def __init__(self, buffered):
+        self.buffered = buffered
+
+    def wait_snapshot(self):
+        return {"network": "fake", "generation": 7, "live": ["r"],
+                "remote_links": [],
+                "blocked": [{"thread": "r", "kind": "thread", "mode": "read",
+                             "channel": "c", "capacity": 8,
+                             "buffered": self.buffered}]}
+
+    def grow_channel(self, channel, capacity):
+        return False
+
+
+def test_woken_remote_reader_is_no_deadlock():
+    """A reader still listed as blocked over a non-empty buffer has been
+    woken and just has not run yet: no verdict."""
+    assert DistributedDeadlockDetector([FrozenSite(8)],
+                                       settle_s=0).check_once() is None
+    report = DistributedDeadlockDetector([FrozenSite(0)],
+                                         settle_s=0).check_once()
+    assert report is not None and not report.artificial

@@ -1,5 +1,7 @@
 """Parks bounded scheduling: deadlock detection + buffer growth (§3.5)."""
 
+import threading
+
 import pytest
 
 from repro.errors import ArtificialDeadlockError, TrueDeadlockError
@@ -104,6 +106,31 @@ def test_true_deadlock_stop_policy_silent():
     ch = net.channel()
     net.add(ReadForever(ch.get_input_stream()))
     assert net.run(timeout=30)  # shut down, no exception
+
+
+def test_no_false_true_deadlock_under_gil_contention():
+    """Spinning threads outside the network starve its threads of the
+    GIL for longer than the settle window.  Neither a process that
+    ``start()`` has not spawned yet nor one woken but not yet run is
+    stalled, so no verdict may fire."""
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            pass
+
+    spinners = [threading.Thread(target=spin, daemon=True) for _ in range(4)]
+    for t in spinners:
+        t.start()
+    try:
+        for cap in (16, 1 << 16):
+            built = hamming(25, network=Network(), channel_capacity=cap)
+            assert built.run(timeout=120) == hamming_reference(25)
+    finally:
+        stop.set()
+        for t in spinners:
+            t.join(timeout=5)
+    assert not any(t.is_alive() for t in spinners)
 
 
 def test_no_false_positive_while_producer_computes():

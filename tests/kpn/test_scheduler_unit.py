@@ -33,9 +33,25 @@ def test_growth_factor_three():
         assert e.new_capacity == 3 * e.old_capacity
 
 
-def test_growth_chooses_smallest_full_channel():
-    """With mixed capacities, Parks' rule targets the smallest one."""
+def _network_monitor():
+    """The per-network monitor, kicked by the network's own accounting."""
     net = Network(policy=DeadlockPolicy(growth_factor=2))
+    return net, None
+
+
+def _multi_site_detector():
+    """The multi-site constructor over ``[net]``, polled on an interval."""
+    from repro.distributed import DistributedDeadlockDetector
+
+    net = Network(bounded=False)
+    return net, DistributedDeadlockDetector([net])
+
+
+@pytest.mark.parametrize("make", [_network_monitor, _multi_site_detector],
+                         ids=["network-monitor", "multi-site"])
+def test_growth_chooses_smallest_full_channel(make):
+    """With mixed capacities, Parks' rule targets the smallest one."""
+    net, detector = make()
     # build fig-13 by hand with asymmetric capacities
     from repro.processes import ModuloRouter, OrderedMerge
 
@@ -50,9 +66,15 @@ def test_growth_chooses_smallest_full_channel():
     net.add(OrderedMerge(upper.get_input_stream(), lower.get_input_stream(),
                          out_ch.get_output_stream()))
     net.add(Collect(out_ch.get_input_stream(), out))
-    net.run(timeout=60)
+    if detector is None:
+        net.run(timeout=60)
+        events = net.growth_events()
+    else:
+        with detector:
+            net.run(timeout=60)
+        events = detector.growth_events
     assert out == list(range(1, 301))
-    grown = {e.channel_name for e in net.growth_events()}
+    grown = {e.channel_name for e in events}
     assert grown == {"gs-lower"}
 
 

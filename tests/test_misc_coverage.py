@@ -86,8 +86,13 @@ def test_graph_reflects_dynamically_inserted_processes():
     built = primes(count=6, network=net)
     built.run(timeout=60)
     g = net.graph()
-    modulo_nodes = [n for n in g.nodes if n.startswith("Modulo-")]
-    assert len(modulo_nodes) == 6  # one per emitted prime
+    moduli = {int(n.split("-", 1)[1]) for n in g.nodes
+              if n.startswith("Modulo-")}
+    # one filter per emitted prime; Sift may also insert the next one
+    # (Modulo-17) before Collect's close reaches it, which Kahn semantics
+    # allow, so only the emitted six are guaranteed
+    assert {2, 3, 5, 7, 11, 13} <= moduli
+    assert all(p > 1 and all(p % d for d in range(2, p)) for p in moduli)
 
 
 # ---------------------------------------------------------------------------
